@@ -248,27 +248,46 @@ func BenchmarkTracing(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelShards measures event-kernel throughput on a 1024-node
-// grid at increasing shard counts: one virtual minute of the full stack
-// with five active sources and four corner sinks per iteration. Sequential
-// (shards=1) is the baseline; the parallel runs produce byte-identical
-// traces (asserted in determinism_test.go), so any wall-clock difference
-// here is pure kernel overhead or speedup. On a single-core host the
-// parallel path can only show its overhead; speedup needs GOMAXPROCS > 1.
-// The checked-in baseline is BENCH_kernel.json.
-func BenchmarkKernelShards(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run("shards-"+itoa(shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := experiments.DefaultParallelScale()
-				cfg.Duration = time.Minute
-				wall, delivered, _ := experiments.MeasureParallelScale(cfg, shards)
-				if delivered == 0 {
-					b.Fatal("workload delivered nothing")
-				}
-				_ = wall
-			}
+// BenchmarkGridMinute measures the event kernel under the full stack on
+// a 1024-node grid: one virtual minute per iteration, four corner sinks
+// and five sources (edge midpoints and center) reporting every 5 s. The
+// end-to-end simulator benchmark for this workload is perfbench's
+// grid1024 (BENCH_kernel.json).
+func BenchmarkGridMinute(b *testing.B) {
+	const side = 32
+	interest := diffusion.Attributes{diffusion.String(diffusion.KeyTask, diffusion.EQ, "wide-area")}
+	publication := diffusion.Attributes{diffusion.String(diffusion.KeyTask, diffusion.IS, "wide-area")}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		net := diffusion.NewNetwork(diffusion.NetworkConfig{
+			Seed:     1,
+			Topology: diffusion.GridTopology(side, side, 9),
 		})
+		delivered := 0
+		for _, id := range []uint32{1, side, side*side - side + 1, side * side} {
+			net.Node(id).Subscribe(interest, func(*diffusion.Message) { delivered++ })
+		}
+		for _, id := range []uint32{
+			side/2 + 1,             // top edge midpoint
+			side*(side/2) + 1,      // left edge midpoint
+			side*(side/2) + side,   // right edge midpoint
+			side*(side-1) + side/2, // bottom edge midpoint
+			side*(side/2) + side/2, // center
+		} {
+			src := net.Node(id)
+			pub := src.Publish(publication)
+			seq := int32(0)
+			net.Every(5*time.Second, func() {
+				seq++
+				src.Send(pub, diffusion.Attributes{
+					diffusion.Int32(diffusion.KeySequence, diffusion.IS, seq),
+				})
+			})
+		}
+		net.Run(time.Minute)
+		if delivered == 0 {
+			b.Fatal("workload delivered nothing")
+		}
 	}
 }
 

@@ -54,9 +54,6 @@ type FerryConfig struct {
 	InterestInterval time.Duration
 	// CustodyLimit bounds the custody queues in the custody arm.
 	CustodyLimit int
-	// Shards runs the kernel with this many shards (determinism checks
-	// compare shard counts; the results must be byte-identical).
-	Shards int
 }
 
 // DefaultFerry returns the standard configuration: 20-minute runs, a
@@ -70,7 +67,6 @@ func DefaultFerry() FerryConfig {
 		EventInterval:    2 * time.Second,
 		InterestInterval: 10 * time.Second,
 		CustodyLimit:     2048,
-		Shards:           1,
 	}
 }
 
@@ -176,7 +172,6 @@ func runFerryOnce(cfg FerryConfig, seed int64, withCustody bool) FerryRun {
 		// Deduplication must span a full disconnection, or a replayed
 		// message whose ID aged out would double-deliver.
 		SeenTTL: 4 * cfg.ContactPeriod,
-		Shards:  cfg.Shards,
 	})
 	run := FerryRun{Seed: seed, Custody: withCustody}
 

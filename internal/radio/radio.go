@@ -22,11 +22,9 @@
 // derived per directed link from the master seed (sim.LinkStream), and all
 // link state is owned by exactly one node's context — the receiver for
 // Gilbert–Elliott evolution and loss draws, fault-injection (global)
-// events for blackout flags — so the sharded kernel can execute
-// transceivers in parallel without locks and still reproduce sequential
-// runs bit for bit. Cross-node delivery goes through Port.ScheduleRemote
-// with the propagation delay, which is exactly the lookahead the
-// conservative kernel schedules against.
+// events for blackout flags — so one link's draws never depend on traffic
+// elsewhere. Cross-node delivery goes through Port.ScheduleRemote with the
+// propagation delay.
 package radio
 
 import (
@@ -359,7 +357,7 @@ type Transceiver struct {
 	// chStats is this node's contribution to the medium-wide counters:
 	// sender-side counts (sent, blackout) accumulate at the transmitter,
 	// receiver-side counts (delivered, lost, collided, half-duplex) at the
-	// receiver — so no counter is shared across shard boundaries.
+	// receiver — so each counter has exactly one writing node.
 	chStats ChannelStats
 }
 
@@ -399,7 +397,7 @@ type reception struct {
 // Transmit broadcasts payload on the medium. It returns the airtime. The
 // caller (the MAC) must not call Transmit again until the airtime elapses;
 // doing so panics, because it indicates a MAC bug rather than a channel
-// condition. Under the sharded kernel, Transmit is only legal inside a
+// condition. On the Kernel, Transmit is only legal inside a
 // transmission-commit (AfterTx) event.
 func (t *Transceiver) Transmit(payload []byte) time.Duration {
 	c := t.ch

@@ -7,9 +7,9 @@ import "math/rand"
 // from the master seed and a tag path with a splitmix64-style mixer, so:
 //
 //   - adding or removing a stream never perturbs any other stream, and
-//   - no stream's draws depend on event execution order, which is what
-//     lets the Kernel run node logic on different shards and still
-//     reproduce a sequential run bit for bit.
+//   - one node's draws never depend on what other nodes drew, so a
+//     change to one node's behaviour does not reshuffle its neighbours'
+//     randomness.
 
 // splitmix64 advances a splitmix64 state and returns the mixed output.
 func splitmix64(state *uint64) uint64 {

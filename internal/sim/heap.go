@@ -5,12 +5,11 @@ import (
 	"time"
 )
 
-// Event-class tags of the canonical order. Every event in a run — whether
-// executed by the sequential Scheduler or by any shard layout of the
-// Kernel — is totally ordered by its evKey, so execution order is a pure
-// function of the seed and the program, never of the shard count.
+// Event-class tags of the canonical order. Every event in a run is totally
+// ordered by its evKey, so execution order is a pure function of the seed
+// and the program.
 const (
-	kindGlobal uint8 = iota // network-scoped events; run at barriers
+	kindGlobal uint8 = iota // network-scoped events
 	kindLocal               // node-scoped events scheduled by the node itself
 	kindRemote              // cross-node events (radio deliveries)
 )
@@ -19,8 +18,7 @@ const (
 // class (globals before node events, locals before remote arrivals), then
 // an origin/sequence pair that is unique within the class. For local
 // events (a, b) is (node, per-node seq); for remote events it is (sender,
-// per-sender send seq) — both assigned by a single deterministic writer,
-// which is what makes the order shard-count independent.
+// per-sender send seq) — both assigned by a single deterministic writer.
 type evKey struct {
 	at   time.Duration
 	kind uint8
@@ -48,8 +46,7 @@ type event struct {
 	index     int
 	cancelled bool
 	// tx marks transmission-commit events (AfterTx): the only events
-	// allowed to schedule cross-node work, and the events whose timestamps
-	// bound the Kernel's conservative windows.
+	// allowed to schedule cross-node work.
 	tx bool
 }
 
@@ -163,38 +160,4 @@ func (h *evSlice) Pop() any {
 	old[n-1] = nil
 	*h = old[:n-1]
 	return ev
-}
-
-// txHeap is a min-heap of pending transmission-commit timestamps; the
-// Kernel reads its minimum to bound each conservative window. Entries for
-// cancelled events are never removed early — that only narrows windows,
-// which is safe.
-type txHeap []time.Duration
-
-func (h txHeap) Len() int           { return len(h) }
-func (h txHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h txHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *txHeap) Push(x any)        { *h = append(*h, x.(time.Duration)) }
-func (h *txHeap) Pop() any {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
-}
-
-// pruneBelow discards entries earlier than t (transmissions that have
-// already fired).
-func (h *txHeap) pruneBelow(t time.Duration) {
-	for len(*h) > 0 && (*h)[0] < t {
-		heap.Pop(h)
-	}
-}
-
-// min returns the earliest pending transmission time.
-func (h txHeap) min() (time.Duration, bool) {
-	if len(h) == 0 {
-		return 0, false
-	}
-	return h[0], true
 }

@@ -1,55 +1,33 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 )
 
-// Kernel is a sharded, parallel-capable discrete-event executor that
-// produces bit-for-bit identical runs at any shard count.
+// Kernel is the network simulator's discrete-event executor: one event
+// queue, drained in canonical order on one goroutine, like the paper's
+// single-threaded diffusion daemon.
 //
 // # Execution model
 //
-// Nodes are assigned to shards; each shard owns its nodes' event queue and
-// executes it single-threaded, so node state needs no locks. Time advances
-// in conservative windows: a window starting at the earliest pending node
-// event tn extends to
-//
-//	w1 = min( earliest pending transmission + propagation,
-//	          tn + turnaround + propagation,
-//	          earliest global event,
-//	          RunUntil horizon )
-//
-// Cross-node effects exist only through Port.ScheduleRemote, which (a) is
-// only legal inside a transmission-commit event (AfterTx), and (b) requires
-// a delay of at least the propagation time. Any transmission pending at the
-// window start delivers at or after w1 by the first bound; any transmission
-// committed during the window happens at least a turnaround after its
-// scheduling event, so its deliveries land at or after tn+turnaround+
-// propagation >= w1 by the second. Hence no event executed inside [tn, w1)
-// can affect another shard within the window, and all shards may run it
-// concurrently.
-//
-// Cross-node deliveries are buffered in per-shard outboxes and merged into
-// the owning shards' queues at the window barrier. Merge timing cannot
-// reorder execution because every event carries a canonical key — see
-// evKey: (timestamp, class, origin, origin-sequence) — assigned by its
-// single-writer origin, so the total execution order is independent of the
-// shard layout. Per-node and per-link random streams are derived from the
+// Every event carries a canonical key — see evKey: (timestamp, class,
+// origin, origin-sequence) — assigned by its single-writer origin, and the
+// kernel executes events strictly in key order. At equal timestamps,
+// global events (Kernel.After/Every: fault injection, experiment drivers)
+// run before node events, and a node's own timers run before radio
+// arrivals. Per-node and per-link random streams are derived from the
 // master seed (DeriveSeed) rather than drawn from a shared stream, so
-// execution order cannot perturb random draws either.
+// adding a node or a link never perturbs another stream's draws. A run is
+// therefore a pure function of its seed; determinism_test.go pins the
+// exact bytes of reference runs.
 //
-// Global events — Kernel.After/Every, fault injection, experiment drivers —
-// run between windows with exclusive access to every shard, so they may
-// freely touch any node. Code running in node context must schedule through
-// its own node's Port; scheduling on the Kernel from inside a parallel
-// window panics. Ordering across contexts: at equal timestamps, global
-// events run before node events, and a global event scheduled from node
-// context runs at the next window barrier.
+// Each node schedules through its own Port. Cross-node effects exist only
+// through Port.ScheduleRemote, which is legal only inside a transmission-
+// commit event (AfterTx) and requires a delay of at least the propagation
+// time: a node can affect another only by putting a frame on the air, and
+// no frame arrives before it has propagated.
 type Kernel struct {
 	seed int64
 	prop time.Duration
@@ -59,41 +37,28 @@ type Kernel struct {
 	stopped bool
 	rng     *rand.Rand
 
-	gq   eventHeap
-	gseq uint64
-
-	shards []*kshard
-	nodes  map[uint32]*nodePort
-
-	// parallelWindow is true while a multi-shard window is executing; it
-	// is written by the coordinator strictly before spawning and after
-	// joining the workers, so worker reads are race-free.
-	parallelWindow bool
-	// serial makes multi-shard windows run their busy shards inline, in
-	// shard order, instead of spawning workers. Within a window the shards
-	// are independent by construction, so any execution order — including
-	// fully serial — produces the same merged schedule. Set when the host
-	// has a single CPU, where goroutines can only add overhead while the
-	// sharded queues still pay off (N small heaps beat one big one).
-	serial      bool
-	busyScratch []*kshard
+	q     eventHeap
+	gseq  uint64
+	nodes map[uint32]*nodePort
+	// inTx is true while executing a transmission-commit event — the only
+	// context allowed to ScheduleRemote.
+	inTx bool
 }
 
 // KernelConfig configures a Kernel.
 type KernelConfig struct {
 	// Seed drives every stream of randomness, via DeriveSeed.
 	Seed int64
-	// Shards is the number of event shards (clamped to >= 1). One shard
-	// executes windows inline with zero goroutine traffic — the sequential
-	// mode — and is the default.
+	// Shards must be 0 or 1; anything else panics, because the kernel has
+	// one event queue. The field is left over from the deleted sharded
+	// kernel and remains only because perfbench (a separate module built
+	// against this API) still sets it.
 	Shards int
 	// Propagation is the minimum ScheduleRemote delay: the radio
-	// propagation time. It must be positive; it is the irreducible part of
-	// the conservative lookahead.
+	// propagation time. It must be positive.
 	Propagation time.Duration
 	// TxTurnaround is the minimum AfterTx delay (smaller delays are
-	// clamped up): the radio's receive-to-transmit turnaround. Larger
-	// values widen windows and cut barrier overhead.
+	// clamped up): the radio's receive-to-transmit turnaround.
 	TxTurnaround time.Duration
 }
 
@@ -102,44 +67,33 @@ func NewKernel(cfg KernelConfig) *Kernel {
 	if cfg.Propagation <= 0 {
 		panic("sim: KernelConfig.Propagation must be positive")
 	}
+	if cfg.Shards != 0 && cfg.Shards != 1 {
+		panic(fmt.Sprintf("sim: KernelConfig.Shards=%d; the kernel has one event queue (use 0 or 1)", cfg.Shards))
+	}
 	if cfg.TxTurnaround < 0 {
 		cfg.TxTurnaround = 0
 	}
-	n := cfg.Shards
-	if n < 1 {
-		n = 1
+	return &Kernel{
+		seed:  cfg.Seed,
+		prop:  cfg.Propagation,
+		turn:  cfg.TxTurnaround,
+		rng:   newDerivedRand(cfg.Seed),
+		nodes: map[uint32]*nodePort{},
 	}
-	k := &Kernel{
-		seed:   cfg.Seed,
-		prop:   cfg.Propagation,
-		turn:   cfg.TxTurnaround,
-		rng:    newDerivedRand(cfg.Seed),
-		nodes:  map[uint32]*nodePort{},
-		serial: runtime.GOMAXPROCS(0) == 1,
-	}
-	k.shards = make([]*kshard, n)
-	for i := range k.shards {
-		k.shards[i] = &kshard{idx: i, out: make([][]*event, n)}
-	}
-	return k
 }
 
-// Shards returns the configured shard count.
-func (k *Kernel) Shards() int { return len(k.shards) }
-
-// AddNode registers node id on the given shard and returns its Port. The
-// node's random stream is derived from the master seed and the id alone,
-// so the shard layout never changes its draws.
+// AddNode registers node id and returns its Port. The node's random stream
+// is derived from the master seed and the id alone. shard must be 0 (see
+// KernelConfig.Shards for why the argument remains).
 func (k *Kernel) AddNode(id uint32, shard int) Port {
-	if shard < 0 || shard >= len(k.shards) {
-		panic(fmt.Sprintf("sim: shard %d out of range [0,%d)", shard, len(k.shards)))
+	if shard != 0 {
+		panic(fmt.Sprintf("sim: AddNode shard %d; the kernel has one event queue (use 0)", shard))
 	}
 	if _, dup := k.nodes[id]; dup {
 		panic(fmt.Sprintf("sim: node %d already registered", id))
 	}
 	p := &nodePort{
 		k:   k,
-		sh:  k.shards[shard],
 		id:  id,
 		rng: newDerivedRand(k.seed, NodeStream(id)...),
 	}
@@ -157,9 +111,8 @@ func (k *Kernel) Port(id uint32) Port {
 	return p
 }
 
-// Now returns the current virtual time of the global context: the start of
-// the executing window, or the exact event time between windows. Node
-// logic should read its own Port's clock, which is always exact.
+// Now returns the current virtual time: the executing event's timestamp,
+// in global and node context alike.
 func (k *Kernel) Now() time.Duration { return k.now }
 
 // Rand returns the global random stream (fault injection, experiment
@@ -172,20 +125,14 @@ func (k *Kernel) DeriveRand(tags ...uint64) *rand.Rand {
 	return newDerivedRand(k.seed, tags...)
 }
 
-// After schedules a global event at now+d. Global events run between
-// windows with exclusive access to all shards. Calling After from node
-// context during a parallel window panics — node code must use its own
-// Port's clock.
+// After schedules a global event at now+d.
 func (k *Kernel) After(d time.Duration, fn func()) Timer {
-	if k.parallelWindow {
-		panic("sim: Kernel.After called from node context during a parallel window; schedule on the node's own clock instead")
-	}
 	if d < 0 {
 		d = 0
 	}
 	k.gseq++
 	ev := &event{key: evKey{at: k.now + d, kind: kindGlobal, b: k.gseq}, fn: fn}
-	k.gq.push(ev)
+	k.q.push(ev)
 	return ev
 }
 
@@ -195,208 +142,58 @@ func (k *Kernel) Every(d, period time.Duration, fn func()) Timer {
 	return repeatOn(k, d, period, fn)
 }
 
-// Stop halts the event loop at the next window barrier.
+// Stop halts the event loop after the executing event.
 func (k *Kernel) Stop() { k.stopped = true }
-
-// minNodeEvent returns the earliest pending node event time across all
-// shards.
-func (k *Kernel) minNodeEvent() (time.Duration, bool) {
-	var min time.Duration
-	ok := false
-	for _, sh := range k.shards {
-		if ev := sh.q.peek(); ev != nil && (!ok || ev.key.at < min) {
-			min, ok = ev.key.at, true
-		}
-	}
-	return min, ok
-}
 
 // NextEventAt returns the timestamp of the next live event, or ok=false.
 func (k *Kernel) NextEventAt() (time.Duration, bool) {
-	tn, okn := k.minNodeEvent()
-	if gev := k.gq.peek(); gev != nil && (!okn || gev.key.at < tn) {
-		return gev.key.at, true
+	if ev := k.q.peek(); ev != nil {
+		return ev.key.at, true
 	}
-	return tn, okn
+	return 0, false
 }
 
-// Pending returns the number of live queued events (O(shards)).
-func (k *Kernel) Pending() int {
-	n := k.gq.live
-	for _, sh := range k.shards {
-		n += sh.q.live
-	}
-	return n
-}
+// Pending returns the number of live queued events.
+func (k *Kernel) Pending() int { return k.q.live }
 
 // RunUntil executes events with timestamps <= t, then advances the clock
 // to t.
 func (k *Kernel) RunUntil(t time.Duration) {
-	for !k.stopped {
-		gev := k.gq.peek()
-		tn, okn := k.minNodeEvent()
-		if gev == nil && !okn {
-			break
-		}
-		// Globals run first at equal timestamps, matching their kind-0
-		// canonical keys.
-		if gev != nil && (!okn || gev.key.at <= tn) {
-			if gev.key.at > t {
-				break
-			}
-			k.gq.popNext()
-			k.now = gev.key.at
-			gev.fn()
-			continue
-		}
-		if tn > t {
-			break
-		}
-		k.runWindow(tn, t)
-	}
+	k.run(t)
 	if k.now < t {
 		k.now = t
 	}
 }
 
 // Run executes events until none remain (or Stop is called).
-func (k *Kernel) Run() {
+func (k *Kernel) Run() { k.run(1<<63 - 1) }
+
+// run executes events in canonical order while their timestamps are <= t.
+func (k *Kernel) run(t time.Duration) {
 	for !k.stopped {
-		at, ok := k.NextEventAt()
-		if !ok {
-			break
-		}
-		k.RunUntil(at)
-	}
-}
-
-// runWindow executes one conservative window starting at tn, bounded by
-// the RunUntil horizon. Every input to the window bound is a global
-// property of the pending event set, so the window sequence — and with it
-// every global-context clock reading — is identical at every shard count.
-func (k *Kernel) runWindow(tn, horizon time.Duration) {
-	k.now = tn
-	w1 := tn + k.turn + k.prop
-	for _, sh := range k.shards {
-		sh.txq.pruneBelow(tn)
-		if mt, ok := sh.txq.min(); ok && mt+k.prop < w1 {
-			w1 = mt + k.prop
-		}
-	}
-	if gev := k.gq.peek(); gev != nil && gev.key.at < w1 {
-		w1 = gev.key.at
-	}
-	if horizon+1 < w1 {
-		w1 = horizon + 1 // run events at <= horizon
-	}
-
-	busy := k.busyScratch[:0]
-	for _, sh := range k.shards {
-		if ev := sh.q.peek(); ev != nil && ev.key.at < w1 {
-			busy = append(busy, sh)
-		}
-	}
-	if len(busy) > 1 {
-		k.parallelWindow = true
-		if k.serial {
-			// Single-CPU host: the shards are mutually independent inside
-			// the window, so running them inline in shard order yields the
-			// same merged schedule without goroutine traffic.
-			for _, sh := range busy {
-				sh.run(w1)
-			}
-		} else {
-			// Parallel dispatch: the coordinator takes the first busy
-			// shard, workers take the rest. The WaitGroup join gives the
-			// barrier its happens-before edge.
-			var wg sync.WaitGroup
-			for _, sh := range busy[1:] {
-				wg.Add(1)
-				go func(sh *kshard) {
-					defer wg.Done()
-					sh.run(w1)
-				}(sh)
-			}
-			busy[0].run(w1)
-			wg.Wait()
-		}
-		k.parallelWindow = false
-	} else {
-		for _, sh := range busy {
-			sh.run(w1)
-		}
-	}
-	k.busyScratch = busy[:0]
-
-	// Barrier: merge cross-shard deliveries into their owners' queues.
-	// Order of insertion is irrelevant — the canonical keys order them.
-	for _, src := range k.shards {
-		for tgt, evs := range src.out {
-			if len(evs) == 0 {
-				continue
-			}
-			dst := &k.shards[tgt].q
-			for i, ev := range evs {
-				dst.push(ev)
-				evs[i] = nil
-			}
-			src.out[tgt] = evs[:0]
-		}
-	}
-}
-
-// kshard is one shard: a queue of its nodes' events, the pending-
-// transmission lookahead heap, and per-target outboxes. Only the owning
-// worker touches it during a window; only the coordinator touches it at
-// barriers.
-type kshard struct {
-	idx int
-	now time.Duration
-	q   eventHeap
-	txq txHeap
-	out [][]*event
-	// inTx is true while executing a transmission-commit event — the only
-	// context allowed to ScheduleRemote.
-	inTx bool
-}
-
-// run executes this shard's events with timestamps < w1.
-func (sh *kshard) run(w1 time.Duration) {
-	for {
-		ev := sh.q.peek()
-		if ev == nil || ev.key.at >= w1 {
+		ev := k.q.peek()
+		if ev == nil || ev.key.at > t {
 			return
 		}
-		sh.q.popNext()
-		sh.now = ev.key.at
-		if ev.tx {
-			sh.inTx = true
-			ev.fn()
-			sh.inTx = false
-		} else {
-			ev.fn()
-		}
+		k.q.popNext()
+		k.now = ev.key.at
+		k.inTx = ev.tx
+		ev.fn()
+		k.inTx = false
 	}
 }
 
 // nodePort is one node's scheduling handle on the Kernel.
 type nodePort struct {
 	k    *Kernel
-	sh   *kshard
 	id   uint32
-	seq  uint64 // local event sequence (single writer: this node/barrier)
-	rseq uint64 // remote send sequence (single writer: this node)
+	seq  uint64 // local event sequence
+	rseq uint64 // remote send sequence
 	rng  *rand.Rand
 }
 
-// Now returns the exact current time in this node's context: the executing
-// event's timestamp during a window, the global time at a barrier.
-func (p *nodePort) Now() time.Duration {
-	if p.sh.now > p.k.now {
-		return p.sh.now
-	}
-	return p.k.now
-}
+// Now returns the current virtual time.
+func (p *nodePort) Now() time.Duration { return p.k.now }
 
 // Rand returns the node's derived random stream.
 func (p *nodePort) Rand() *rand.Rand { return p.rng }
@@ -406,20 +203,17 @@ func (p *nodePort) After(d time.Duration, fn func()) Timer {
 	if d < 0 {
 		d = 0
 	}
-	return p.push(p.Now()+d, fn, false)
+	return p.push(p.k.now+d, fn, false)
 }
 
 // AfterTx schedules a transmission-commit event; d is clamped up to the
-// kernel's turnaround time so committed transmissions can never outrun the
-// conservative window bound.
+// kernel's turnaround time, the radio's physical receive-to-transmit
+// limit.
 func (p *nodePort) AfterTx(d time.Duration, fn func()) Timer {
 	if d < p.k.turn {
 		d = p.k.turn
 	}
-	at := p.Now() + d
-	ev := p.push(at, fn, true)
-	heap.Push(&p.sh.txq, at)
-	return ev
+	return p.push(p.k.now+d, fn, true)
 }
 
 func (p *nodePort) push(at time.Duration, fn func(), tx bool) *event {
@@ -429,29 +223,26 @@ func (p *nodePort) push(at time.Duration, fn func(), tx bool) *event {
 		fn:  fn,
 		tx:  tx,
 	}
-	p.sh.q.push(ev)
+	p.k.q.push(ev)
 	return ev
 }
 
-// ScheduleRemote schedules fn in node to's context, d from now, through
-// the window barrier's outbox merge. Only legal inside a transmission-
-// commit event with d >= the propagation delay — the two rules the
-// conservative window bound is derived from.
+// ScheduleRemote schedules fn in node to's context, d from now. Only legal
+// inside a transmission-commit event with d >= the propagation delay:
+// nodes influence each other only through frames on the air.
 func (p *nodePort) ScheduleRemote(to uint32, d time.Duration, fn func()) {
 	if d < p.k.prop {
 		panic(fmt.Sprintf("sim: ScheduleRemote delay %v below the propagation floor %v", d, p.k.prop))
 	}
-	if !p.sh.inTx {
+	if !p.k.inTx {
 		panic("sim: ScheduleRemote outside a transmission-commit (AfterTx) event")
 	}
-	tp, ok := p.k.nodes[to]
-	if !ok {
+	if _, ok := p.k.nodes[to]; !ok {
 		panic(fmt.Sprintf("sim: ScheduleRemote to unregistered node %d", to))
 	}
 	p.rseq++
-	ev := &event{
-		key: evKey{at: p.Now() + d, kind: kindRemote, a: uint64(p.id), b: p.rseq},
+	p.k.q.push(&event{
+		key: evKey{at: p.k.now + d, kind: kindRemote, a: uint64(p.id), b: p.rseq},
 		fn:  fn,
-	}
-	p.sh.out[tp.sh.idx] = append(p.sh.out[tp.sh.idx], ev)
+	})
 }

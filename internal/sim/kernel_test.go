@@ -6,21 +6,15 @@ import (
 	"time"
 )
 
-// newTestKernel returns a kernel with n shards and ids 1..nodes spread
-// round-robin (round-robin is the worst case for locality, which is what a
-// determinism test wants). Goroutine dispatch is forced on so the race
-// detector exercises the parallel path even on single-CPU hosts, where
-// NewKernel would default to inline windows.
-func newTestKernel(seed int64, shards, nodes int) *Kernel {
+// newTestKernel returns a kernel with nodes 1..nodes registered.
+func newTestKernel(seed int64, nodes int) *Kernel {
 	k := NewKernel(KernelConfig{
 		Seed:         seed,
-		Shards:       shards,
 		Propagation:  3 * time.Microsecond,
 		TxTurnaround: time.Millisecond,
 	})
-	k.serial = false
 	for i := 0; i < nodes; i++ {
-		k.AddNode(uint32(i+1), i%k.Shards())
+		k.AddNode(uint32(i+1), 0)
 	}
 	return k
 }
@@ -33,7 +27,7 @@ func TestKernelEveryRejectsNonPositivePeriod(t *testing.T) {
 					t.Errorf("Every(period=%v) must panic", period)
 				}
 			}()
-			newTestKernel(1, 1, 1).Every(time.Second, period, func() {})
+			newTestKernel(1, 1).Every(time.Second, period, func() {})
 		}()
 	}
 }
@@ -52,7 +46,7 @@ func TestSchedulerEveryRejectsNonPositivePeriod(t *testing.T) {
 }
 
 func TestKernelGlobalBeforeNodeAtEqualTime(t *testing.T) {
-	k := newTestKernel(7, 2, 2)
+	k := newTestKernel(7, 2)
 	var order []string
 	k.Port(1).After(time.Second, func() { order = append(order, "node") })
 	k.After(time.Second, func() { order = append(order, "global") })
@@ -63,7 +57,7 @@ func TestKernelGlobalBeforeNodeAtEqualTime(t *testing.T) {
 }
 
 func TestKernelPortClockExactDuringWindow(t *testing.T) {
-	k := newTestKernel(3, 2, 2)
+	k := newTestKernel(3, 2)
 	p := k.Port(1)
 	var at time.Duration
 	p.After(1500*time.Microsecond, func() { at = p.Now() })
@@ -73,8 +67,43 @@ func TestKernelPortClockExactDuringWindow(t *testing.T) {
 	}
 }
 
+// TestKernelNowExactInNodeContext is a regression test: the kernel's
+// global clock must read the executing event's time inside node events
+// too (sink callbacks read it through Network.Now), not the time of the
+// first event in a batch.
+func TestKernelNowExactInNodeContext(t *testing.T) {
+	k := newTestKernel(3, 2)
+	var at time.Duration
+	k.Port(1).After(time.Millisecond, func() {})
+	k.Port(2).After(1500*time.Microsecond, func() { at = k.Now() })
+	k.RunUntil(time.Second)
+	if at != 1500*time.Microsecond {
+		t.Errorf("Kernel.Now() read %v inside a node event at 1.5ms", at)
+	}
+}
+
+func TestKernelRejectsShards(t *testing.T) {
+	for name, f := range map[string]func(){
+		"KernelConfig.Shards=2": func() {
+			NewKernel(KernelConfig{Shards: 2, Propagation: time.Microsecond})
+		},
+		"AddNode shard 1": func() {
+			NewKernel(KernelConfig{Shards: 1, Propagation: time.Microsecond}).AddNode(1, 1)
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s must panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
 func TestScheduleRemoteOutsideTxPanics(t *testing.T) {
-	k := newTestKernel(5, 2, 2)
+	k := newTestKernel(5, 2)
 	p := k.Port(1)
 	panicked := false
 	p.After(time.Millisecond, func() {
@@ -88,7 +117,7 @@ func TestScheduleRemoteOutsideTxPanics(t *testing.T) {
 }
 
 func TestScheduleRemoteBelowPropagationPanics(t *testing.T) {
-	k := newTestKernel(5, 2, 2)
+	k := newTestKernel(5, 2)
 	p := k.Port(1)
 	panicked := false
 	p.AfterTx(time.Millisecond, func() {
@@ -105,17 +134,9 @@ func TestScheduleRemoteBelowPropagationPanics(t *testing.T) {
 // per-node execution transcripts concatenated in node order: every event's
 // (time, tag) as seen by its node. Node i periodically commits a
 // transmission that delivers to both neighbors, which respond with their
-// own local timers — enough cross-shard traffic to exercise windows,
-// outboxes and barriers. Each node appends only to its own transcript
-// (its events run single-threaded on its shard), so recording is
-// race-free under parallel dispatch.
-func kernelWorkload(seed int64, shards, nodes int) []string {
-	return kernelWorkloadDispatch(seed, shards, nodes, false)
-}
-
-func kernelWorkloadDispatch(seed int64, shards, nodes int, serial bool) []string {
-	k := newTestKernel(seed, shards, nodes)
-	k.serial = serial
+// own local timers.
+func kernelWorkload(seed int64, nodes int) []string {
+	k := newTestKernel(seed, nodes)
 	logs := make([][]string, nodes+1)
 	for i := 1; i <= nodes; i++ {
 		id := uint32(i)
@@ -148,49 +169,9 @@ func kernelWorkloadDispatch(seed int64, shards, nodes int, serial bool) []string
 	return out
 }
 
-func TestKernelShardCountInvariance(t *testing.T) {
-	// The complete execution transcript — order included — must be a pure
-	// function of the seed, not of the shard layout.
-	base := kernelWorkload(11, 1, 9)
-	if len(base) == 0 {
-		t.Fatal("workload produced no events")
-	}
-	for _, shards := range []int{2, 3, 4, 8} {
-		got := kernelWorkload(11, shards, 9)
-		if len(got) != len(base) {
-			t.Fatalf("shards=%d: %d events, want %d", shards, len(got), len(base))
-		}
-		for i := range base {
-			if got[i] != base[i] {
-				t.Fatalf("shards=%d: transcript diverges at %d: %q != %q",
-					shards, i, got[i], base[i])
-			}
-		}
-	}
-}
-
-func TestKernelSerialDispatchMatchesParallel(t *testing.T) {
-	// The single-CPU inline path must execute the exact same schedule as
-	// goroutine dispatch: shard independence inside a window means any
-	// execution order merges identically.
-	par := kernelWorkloadDispatch(11, 4, 9, false)
-	ser := kernelWorkloadDispatch(11, 4, 9, true)
-	if len(par) == 0 {
-		t.Fatal("workload produced no events")
-	}
-	if len(ser) != len(par) {
-		t.Fatalf("serial dispatch: %d events, parallel %d", len(ser), len(par))
-	}
-	for i := range par {
-		if ser[i] != par[i] {
-			t.Fatalf("dispatch modes diverge at %d: %q != %q", i, ser[i], par[i])
-		}
-	}
-}
-
 func TestKernelSameSeedSameTranscript(t *testing.T) {
-	a := kernelWorkload(23, 4, 6)
-	b := kernelWorkload(23, 4, 6)
+	a := kernelWorkload(23, 6)
+	b := kernelWorkload(23, 6)
 	if len(a) != len(b) {
 		t.Fatalf("runs differ in length: %d vs %d", len(a), len(b))
 	}
@@ -199,7 +180,7 @@ func TestKernelSameSeedSameTranscript(t *testing.T) {
 			t.Fatalf("same-seed runs diverge at %d: %q != %q", i, a[i], b[i])
 		}
 	}
-	if c := kernelWorkload(24, 4, 6); len(c) == len(a) {
+	if c := kernelWorkload(24, 6); len(c) == len(a) {
 		same := true
 		for i := range a {
 			if a[i] != c[i] {
@@ -214,7 +195,7 @@ func TestKernelSameSeedSameTranscript(t *testing.T) {
 }
 
 func TestKernelRunUntilAdvancesClock(t *testing.T) {
-	k := newTestKernel(1, 2, 2)
+	k := newTestKernel(1, 2)
 	k.RunUntil(5 * time.Second)
 	if k.Now() != 5*time.Second {
 		t.Errorf("Now()=%v after RunUntil(5s)", k.Now())
@@ -232,7 +213,7 @@ func TestKernelRunUntilAdvancesClock(t *testing.T) {
 }
 
 func TestKernelPendingAndNextEventAt(t *testing.T) {
-	k := newTestKernel(1, 3, 3)
+	k := newTestKernel(1, 3)
 	if _, ok := k.NextEventAt(); ok {
 		t.Error("empty kernel reports a next event")
 	}

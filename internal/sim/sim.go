@@ -6,11 +6,13 @@
 //
 // Two engines implement the Executor interface:
 //
-//   - Scheduler: the single-queue event loop mirroring the paper's
-//     single-threaded daemon. Simple, and the reference for unit tests.
-//   - Kernel (kernel.go): a sharded conservative parallel engine that
-//     executes the same canonical event order across any shard count, so
-//     parallel runs are bit-for-bit identical to sequential ones.
+//   - Scheduler: the minimal event loop for unit tests. Every port
+//     shares its one clock and one random stream.
+//   - Kernel (kernel.go): the network simulator's engine. It also runs
+//     one queue on one goroutine, like the paper's single-threaded
+//     daemon, but gives each node its own Port, sequence numbers and
+//     derived random stream, and enforces the cross-node scheduling
+//     contract.
 //
 // A RealClock implementation of the same Clock interface lets identical
 // node code run live on goroutine timers (used by the examples' live mode).
@@ -54,14 +56,14 @@ type Env interface {
 }
 
 // Port is one node's scheduling handle. Everything a node schedules goes
-// through its own Port; cross-node effects go through ScheduleRemote, which
-// is how the Kernel keeps shards from touching each other's queues.
+// through its own Port; cross-node effects go through ScheduleRemote, so
+// the only way one node can affect another is a frame on the air.
 type Port interface {
 	Env
 	// ScheduleRemote schedules fn to run in node to's context, d from now.
 	// It may only be called from within a transmission-commit (AfterTx)
 	// event, and d must be at least the engine's configured propagation
-	// delay — together these give the conservative engine its lookahead.
+	// delay: a frame reaches another node only after it has propagated.
 	ScheduleRemote(to uint32, d time.Duration, fn func())
 }
 
@@ -137,8 +139,8 @@ func (s *Scheduler) After(d time.Duration, fn func()) Timer {
 }
 
 // AfterTx schedules a transmission-commit event. On the single-queue
-// Scheduler it is equivalent to After; the Kernel uses the tx tag to bound
-// its conservative windows.
+// Scheduler it is equivalent to After; the Kernel uses the tx tag to admit
+// ScheduleRemote calls.
 func (s *Scheduler) AfterTx(d time.Duration, fn func()) Timer {
 	return s.After(d, fn)
 }
@@ -152,7 +154,7 @@ func (s *Scheduler) at(t time.Duration, fn func()) *event {
 
 // Port returns a scheduling handle for node id. On the single-queue
 // Scheduler every port shares the one queue, clock and random stream, so
-// unit tests drive MACs and radios exactly as before sharding existed.
+// unit tests can drive MACs and radios from a single seeded stream.
 func (s *Scheduler) Port(id uint32) Port { return schedPort{s} }
 
 // schedPort adapts the Scheduler to the Port interface.

@@ -368,50 +368,3 @@ func (t *Topology) Contacts(tr *Trajectory, peers []uint32, radius float64, unti
 	})
 	return out
 }
-
-// Partition assigns every node to one of n shards for parallel simulation.
-// Nodes are sorted along the longer axis of the topology's bounding box and
-// cut into n contiguous, equal-count strips, so each shard owns a spatially
-// compact region: most radio neighbors land on the same shard and cross-
-// shard traffic stays small. The assignment is a pure function of the
-// topology and n — independent of map iteration order — so every run
-// partitions identically. n is clamped to [1, Len()].
-func (t *Topology) Partition(n int) map[uint32]int {
-	if n < 1 {
-		n = 1
-	}
-	if n > len(t.order) {
-		n = len(t.order)
-	}
-	ids := t.IDs()
-	var spanX, spanY float64
-	if len(ids) > 0 {
-		minX, maxX := math.Inf(1), math.Inf(-1)
-		minY, maxY := math.Inf(1), math.Inf(-1)
-		for _, id := range ids {
-			nd := t.nodes[id]
-			minX, maxX = math.Min(minX, nd.X), math.Max(maxX, nd.X)
-			minY, maxY = math.Min(minY, nd.Y), math.Max(maxY, nd.Y)
-		}
-		spanX, spanY = maxX-minX, maxY-minY
-	}
-	key := func(id uint32) float64 {
-		if spanY > spanX {
-			return t.nodes[id].Y
-		}
-		return t.nodes[id].X
-	}
-	sort.SliceStable(ids, func(i, j int) bool {
-		ki, kj := key(ids[i]), key(ids[j])
-		if ki != kj {
-			return ki < kj
-		}
-		return ids[i] < ids[j] // deterministic tie-break
-	})
-	out := make(map[uint32]int, len(ids))
-	for i, id := range ids {
-		// Equal-count strips: node i of m goes to shard i*n/m.
-		out[id] = i * n / len(ids)
-	}
-	return out
-}

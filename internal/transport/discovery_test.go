@@ -40,6 +40,14 @@ func (l *memberLog) has(want string) bool {
 	return false
 }
 
+// await waits for the event want to be logged. Member callbacks fire
+// after the state change they report is visible, so a test that has just
+// seen the new state must wait for the event too.
+func (l *memberLog) await(t *testing.T, want string) {
+	t.Helper()
+	waitFor(t, func() bool { return l.has(want) }, want+" event")
+}
+
 // discoEndpoint builds a discovery-enabled endpoint with fast timers.
 func discoEndpoint(t *testing.T, id uint32, disco DiscoveryConfig, mod func(*UDPConfig)) (*UDP, *memberLog) {
 	t.Helper()
@@ -225,9 +233,7 @@ func TestDiscoveryPromotesAnnouncingPeer(t *testing.T) {
 		m, ok := memberOf(u, 2)
 		return ok && m.Membership == "neighbor"
 	}, "peer 2 promoted")
-	if !log.has("2:joined") {
-		t.Errorf("missing joined event, got %v", log.evs)
-	}
+	log.await(t, "2:joined")
 	m, _ := memberOf(u, 2)
 	if m.Origin != "discovered" {
 		t.Errorf("origin = %q, want discovered", m.Origin)
@@ -273,9 +279,7 @@ func TestDiscoveryQuarantineOnVocabMismatch(t *testing.T) {
 		m, ok := memberOf(u, 2)
 		return ok && m.Membership == "quarantined"
 	}, "peer 2 quarantined")
-	if !log.has("2:quarantined") {
-		t.Errorf("missing quarantined event, got %v", log.evs)
-	}
+	log.await(t, "2:quarantined")
 	if got := u.Stats().MemberQuarantined.Load(); got == 0 {
 		t.Error("quarantine counter not bumped")
 	}
@@ -319,9 +323,15 @@ func TestDiscoveryDegreeCapEviction(t *testing.T) {
 		w, ok2 := memberOf(u, weak.id)
 		return ok1 && ok2 && s.Membership == "neighbor" && w.Membership == "candidate"
 	}, "strong peer evicts weak")
-	if !log.has(fmt.Sprintf("%d:evicted", weak.id)) {
-		t.Errorf("missing evicted event, got %v", log.evs)
-	}
+	// The strong peer reciprocates, as a real peer does. Otherwise its
+	// one-way slot expires at the handshake deadline and the weak peer's
+	// announce below takes the freed slot back.
+	strong.announce(u.LocalAddr(), true, testVocab)
+	waitFor(t, func() bool {
+		s, ok := memberOf(u, strong.id)
+		return ok && s.Peered
+	}, "strong peer completes the handshake")
+	log.await(t, fmt.Sprintf("%d:evicted", weak.id))
 	if len(u.Neighbors()) != 1 {
 		t.Errorf("degree cap violated: table %v", u.Neighbors())
 	}
@@ -343,7 +353,9 @@ func TestDiscoveryDegreeCapEviction(t *testing.T) {
 		t.Error("evictee never got a peering-bit-clear announce")
 	}
 
-	// The weak peer announcing again does not displace the strong one.
+	// The weak peer announcing again does not displace the strong one,
+	// which keeps announcing so its failure detector stays quiet.
+	strong.announce(u.LocalAddr(), true, testVocab)
 	weak.announce(u.LocalAddr(), true, testVocab)
 	time.Sleep(150 * time.Millisecond)
 	if m, _ := memberOf(u, strong.id); m.Membership != "neighbor" {
@@ -388,9 +400,8 @@ func TestDiscoveryLonelyRescue(t *testing.T) {
 		s, ok2 := memberOf(u, strong.id)
 		return ok1 && ok2 && w.Membership == "neighbor" && s.Membership != "neighbor"
 	}, "lonely peer admitted over the score order")
-	if !log.has(fmt.Sprintf("%d:joined", weak.id)) || !log.has(fmt.Sprintf("%d:evicted", strong.id)) {
-		t.Errorf("missing join/evict events, got %v", log.evs)
-	}
+	log.await(t, fmt.Sprintf("%d:joined", weak.id))
+	log.await(t, fmt.Sprintf("%d:evicted", strong.id))
 
 	// The rescued slot is protected: the stronger peer's re-announce must
 	// not evict the lonely-admitted neighbor.
@@ -419,9 +430,7 @@ func TestDiscoveryHandshakeTimeoutDemotes(t *testing.T) {
 		m, ok := memberOf(u, 2)
 		return ok && m.Membership == "candidate"
 	}, "one-way peer demoted")
-	if !log.has("2:demoted") {
-		t.Errorf("missing demoted event, got %v", log.evs)
-	}
+	log.await(t, "2:demoted")
 }
 
 // TestHandshakeBackoffEscalation pins the damping schedule: 5 intervals
@@ -501,9 +510,7 @@ func TestDiscoveryLeaveDemotes(t *testing.T) {
 		m, ok := memberOf(u, 2)
 		return ok && m.Membership == "left"
 	}, "peer 2 left")
-	if !log.has("2:left") {
-		t.Errorf("missing left event, got %v", log.evs)
-	}
+	log.await(t, "2:left")
 	if health := u.PeerHealth(); len(health) != 0 {
 		t.Errorf("departed peer still tracked by the detector: %v", health)
 	}
@@ -558,9 +565,7 @@ func TestDiscoveryChurnToRemoval(t *testing.T) {
 	if !sawDead {
 		t.Errorf("liveness transitions missing suspect→dead: %v", seq)
 	}
-	if !log.has("2:dead") {
-		t.Errorf("missing dead event, got %v", log.evs)
-	}
+	log.await(t, "2:dead")
 	if len(u.Neighbors()) != 0 {
 		t.Errorf("dead peer still in the table: %v", u.Neighbors())
 	}
@@ -618,9 +623,7 @@ func TestDiscoveryRebootClearsRetransmitState(t *testing.T) {
 	x.announce(u.LocalAddr(), true, testVocab)
 	waitFor(t, func() bool { return u.rel.pending(2) == 0 && u.CustodyPending() == 0 },
 		"stale retransmit state dropped on boot change")
-	if !log.has("2:rejoined") {
-		t.Errorf("missing rejoined event, got %v", log.evs)
-	}
+	log.await(t, "2:rejoined")
 	if m, _ := memberOf(u, 2); m.Membership != "neighbor" {
 		t.Error("rejoined peer must stay a neighbor")
 	}

@@ -128,12 +128,6 @@ type NetworkConfig struct {
 	// motes (second tier) instead of full diffusion nodes. Access them
 	// with Mote(id); bridge the tiers with NewGateway.
 	MoteNodes []uint32
-	// Shards is the number of parallel event shards (sim.Kernel). Zero or
-	// one runs the classic sequential path; any value produces bit-for-bit
-	// identical results — sharding only changes wall-clock time. Clamped
-	// to the node count. Networks with MoteNodes force one shard: a
-	// gateway couples a node and a mote into one event context.
-	Shards int
 }
 
 // Network is a simulated sensor network: one diffusion node per topology
@@ -196,25 +190,12 @@ func NewNetwork(cfg NetworkConfig) *Network {
 		mp = *cfg.MAC
 	}
 	if rp.PropDelay <= 0 {
-		// The kernel's conservative lookahead needs a positive propagation
-		// delay; a nanosecond keeps zero-delay configs running unchanged.
+		// The kernel requires a positive propagation delay; a nanosecond
+		// keeps zero-delay configs running unchanged.
 		rp.PropDelay = time.Nanosecond
-	}
-	shards := cfg.Shards
-	if len(cfg.MoteNodes) > 0 {
-		// A gateway hands messages between a node and a mote synchronously,
-		// coupling two event contexts; run those networks sequentially.
-		shards = 1
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if n := cfg.Topology.Len(); n > 0 && shards > n {
-		shards = n
 	}
 	kern := sim.NewKernel(sim.KernelConfig{
 		Seed:         cfg.Seed,
-		Shards:       shards,
 		Propagation:  rp.PropDelay,
 		TxTurnaround: mp.Turnaround(),
 	})
@@ -237,11 +218,8 @@ func NewNetwork(cfg NetworkConfig) *Network {
 	for _, id := range cfg.MoteNodes {
 		moteSet[id] = true
 	}
-	// Topology-aware shard assignment: contiguous spatial strips, so most
-	// radio neighborhoods stay shard-local.
-	partition := cfg.Topology.Partition(shards)
 	for _, id := range net.order {
-		port := kern.AddNode(id, partition[id])
+		port := kern.AddNode(id, 0)
 		net.ports[id] = port
 		reg := telemetry.NewRegistry(fmt.Sprintf("node-%d", id))
 		net.hub.Register(reg)
@@ -375,9 +353,10 @@ func (net *Network) IDs() []uint32 {
 }
 
 // Clock returns the network's global clock, for timers in experiment
-// drivers and application setup code. Code running inside a node's
-// callbacks must use that node's own clock (NodeEnv) — under a parallel
-// kernel, scheduling globally from node context panics.
+// drivers and application setup code. Its timers run in global context,
+// ahead of node events at the same instant. Code running inside a node's
+// callbacks should schedule on that node's own clock (NodeEnv), so the
+// timer belongs to the node and its sequence numbers.
 func (net *Network) Clock() sim.Clock { return net.kern }
 
 // Executor exposes the discrete-event engine.
