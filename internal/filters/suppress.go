@@ -27,6 +27,9 @@ type Suppression struct {
 	identityKeys []attr.Key
 	ttl          time.Duration
 	seen         map[string]time.Duration
+	// idBuf is reused to render each message's identity; a lookup keyed
+	// by string(idBuf) does not allocate, so only new identities do.
+	idBuf []byte
 
 	// Suppressed counts swallowed duplicates; Passed counts forwarded
 	// uniques.
@@ -76,7 +79,8 @@ func (s *Suppression) onMessage(m *message.Message, h core.FilterHandle) {
 		s.node.SendMessageToNext(m, h)
 		return
 	}
-	id, ok := identity(m.Attrs, s.identityKeys)
+	var ok bool
+	s.idBuf, ok = appendIdentity(s.idBuf[:0], m.Attrs, s.identityKeys)
 	if !ok {
 		// Not an event we can identify: let it through untouched.
 		s.node.SendMessageToNext(m, h)
@@ -84,11 +88,11 @@ func (s *Suppression) onMessage(m *message.Message, h core.FilterHandle) {
 	}
 	now := s.clock.Now()
 	s.gc(now)
-	if at, dup := s.seen[id]; dup && now-at <= s.ttl {
+	if at, dup := s.seen[string(s.idBuf)]; dup && now-at <= s.ttl {
 		s.Suppressed++
 		return // consumed: the duplicate stops here
 	}
-	s.seen[id] = now
+	s.seen[string(s.idBuf)] = now
 	s.Passed++
 	s.node.SendMessageToNext(m, h)
 }
@@ -105,22 +109,27 @@ func (s *Suppression) gc(now time.Duration) {
 	}
 }
 
-// identity renders the identity-key actuals of attrs as a map key. The
-// second result is false unless every identity key has an actual: a
-// message without a full identity (for example, no sequence number) is not
-// an aggregatable event and must pass through.
-func identity(attrs attr.Vec, keys []attr.Key) (string, bool) {
-	var id []byte
+// appendIdentity appends the identity-key actuals of attrs to dst as a
+// map key. The second result is false unless every identity key has an
+// actual: a message without a full identity (for example, no sequence
+// number) is not an aggregatable event and must pass through.
+func appendIdentity(dst []byte, attrs attr.Vec, keys []attr.Key) ([]byte, bool) {
 	for _, k := range keys {
 		a, ok := attrs.FindActual(k)
 		if !ok {
-			return "", false
+			return dst, false
 		}
-		id = append(id, byte(k), ':')
-		id = append(id, a.Val.String()...)
-		id = append(id, '|')
+		dst = append(dst, byte(k), ':')
+		dst = a.Val.AppendText(dst)
+		dst = append(dst, '|')
 	}
-	return string(id), true
+	return dst, true
+}
+
+// identity is appendIdentity into a fresh string.
+func identity(attrs attr.Vec, keys []attr.Key) (string, bool) {
+	id, ok := appendIdentity(nil, attrs, keys)
+	return string(id), ok
 }
 
 // CountingAggregator is the paper's "more sophisticated filter": it delays

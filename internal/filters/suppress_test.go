@@ -1,6 +1,7 @@
 package filters
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -235,5 +236,38 @@ func TestTap(t *testing.T) {
 	tn.Sched.RunUntil(10 * time.Second)
 	if tap.Total() != before {
 		t.Error("removed tap must not observe")
+	}
+}
+
+// TestSuppressionIdentity pins the identity bytes a suppression filter keys
+// on, and checks that rendering a known identity into the reused buffer
+// and looking it up allocates nothing.
+func TestSuppressionIdentity(t *testing.T) {
+	attrs := attr.Vec{
+		attr.StringAttr(attr.KeyTask, attr.IS, `say "hi"`),
+		attr.Int32Attr(attr.KeySequence, attr.IS, -3),
+		attr.Float64Attr(attr.KeyConfidence, attr.IS, math.Copysign(0, -1)),
+	}
+	keys := []attr.Key{attr.KeyTask, attr.KeySequence, attr.KeyConfidence}
+	want := string([]byte{byte(attr.KeyTask)}) + `:"say \"hi\""|` +
+		string([]byte{byte(attr.KeySequence)}) + ":-3|" +
+		string([]byte{byte(attr.KeyConfidence)}) + ":-0|"
+	id, ok := identity(attrs, keys)
+	if !ok || id != want {
+		t.Fatalf("identity = %q, %v; want %q", id, ok, want)
+	}
+	if _, ok := identity(attrs, []attr.Key{attr.KeyTask, attr.KeyCount}); ok {
+		t.Error("identity without every key's actual must report false")
+	}
+	seen := map[string]time.Duration{want: 0}
+	var buf []byte
+	allocs := testing.AllocsPerRun(100, func() {
+		buf, _ = appendIdentity(buf[:0], attrs, keys)
+		if _, dup := seen[string(buf)]; !dup {
+			t.Fatal("known identity not found")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("identity lookup allocated %v times per message, want 0", allocs)
 	}
 }

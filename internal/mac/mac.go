@@ -144,6 +144,10 @@ type Mac struct {
 	detached bool
 	seq      uint16
 
+	// attemptFn and fireFn are m.attempt and m.fire, bound once at Attach
+	// so the transmit pump allocates no method value per step.
+	attemptFn, fireFn func()
+
 	reasm map[reasmKey]*partial
 
 	// backoffHist, when instrumented, observes every backoff wait (µs).
@@ -186,6 +190,7 @@ type partial struct {
 func Attach(env sim.Env, ch *radio.Channel, id uint32, p Params, h Handler) *Mac {
 	validate(p)
 	m := &Mac{env: env, params: p, handler: h, reasm: map[reasmKey]*partial{}}
+	m.attemptFn, m.fireFn = m.attempt, m.fire
 	m.tx = ch.Attach(id, m.onFrame)
 	return m
 }
@@ -328,30 +333,39 @@ func (m *Mac) Trace(ring *telemetry.SpanRing, peek func(payload []byte) (telemet
 	m.peek = peek
 }
 
-// fragment splits payload into framed fragments.
+// fragment splits payload into framed fragments, all slices of one
+// backing buffer.
 func (m *Mac) fragment(dst uint32, seq uint16, payload []byte) [][]byte {
 	fp := m.params.FragmentPayload
 	count := (len(payload) + fp - 1) / fp
 	if count == 0 {
 		count = 1 // empty payloads still occupy one fragment
 	}
-	frags := make([][]byte, 0, count)
-	for i := 0; i < count; i++ {
+	buf := make([]byte, count*fragHeaderSize+len(payload))
+	frags := make([][]byte, count)
+	for i := range frags {
 		lo := i * fp
-		hi := lo + fp
-		if hi > len(payload) {
-			hi = len(payload)
-		}
-		f := make([]byte, fragHeaderSize, fragHeaderSize+hi-lo)
+		hi := min(lo+fp, len(payload))
+		f := buf[: fragHeaderSize+hi-lo : fragHeaderSize+hi-lo]
+		buf = buf[len(f):]
 		binary.BigEndian.PutUint16(f[0:], toWireID(dst))
 		binary.BigEndian.PutUint16(f[2:], toWireID(m.ID()))
 		binary.BigEndian.PutUint16(f[4:], seq)
 		f[6] = byte(i)
 		f[7] = byte(count)
-		f = append(f, payload[lo:hi]...)
-		frags = append(frags, f)
+		copy(f[fragHeaderSize:], payload[lo:hi])
+		frags[i] = f
 	}
 	return frags
+}
+
+// popHead removes the head message, shifting the rest down so the queue
+// keeps its capacity.
+func (m *Mac) popHead() {
+	n := len(m.queue) - 1
+	copy(m.queue, m.queue[1:])
+	m.queue[n] = nil
+	m.queue = m.queue[:n]
 }
 
 // kick starts the transmit pump if idle. The pump defers a random slot
@@ -364,7 +378,7 @@ func (m *Mac) kick() {
 	}
 	m.sending = true
 	defer0 := time.Duration(m.env.Rand().Intn(4)) * m.params.SlotTime
-	m.env.After(defer0, m.attempt)
+	m.env.After(defer0, m.attemptFn)
 }
 
 // attempt tries to transmit the current fragment, backing off on carrier.
@@ -383,7 +397,7 @@ func (m *Mac) attempt() {
 			// so deferred senders do not stampede at wake-up.
 			m.Stats.SleepDeferrals++
 			jitter := time.Duration(m.env.Rand().Intn(4)) * m.params.SlotTime
-			m.env.After(m.nextWake(now)-now+jitter, m.attempt)
+			m.env.After(m.nextWake(now)-now+jitter, m.attemptFn)
 			return
 		}
 	}
@@ -392,7 +406,7 @@ func (m *Mac) attempt() {
 		m.Stats.Backoffs++
 		if cur.attempts > m.params.MaxAttempts {
 			// Drop the whole message, as a primitive MAC would.
-			m.queue = m.queue[1:]
+			m.popHead()
 			m.Stats.MessagesDropped++
 			if cur.traced && m.spans != nil {
 				sp := cur.span
@@ -401,7 +415,7 @@ func (m *Mac) attempt() {
 				sp.Reason = telemetry.DropLinkRefused
 				m.spans.Record(sp)
 			}
-			m.env.After(0, m.attempt)
+			m.env.After(0, m.attemptFn)
 			return
 		}
 		// Binary-exponential-flavored backoff bounded by MaxBackoffSlots.
@@ -415,13 +429,13 @@ func (m *Mac) attempt() {
 		if m.backoffHist != nil {
 			m.backoffHist.Observe(wait.Microseconds())
 		}
-		m.env.After(wait, m.attempt)
+		m.env.After(wait, m.attemptFn)
 		return
 	}
 	// Carrier is clear: commit the transmission. After the turnaround the
 	// fragment goes on the air regardless of what the channel does in the
 	// meantime — the hardware cannot abort a committed send.
-	m.env.AfterTx(m.params.Turnaround(), m.fire)
+	m.env.AfterTx(m.params.Turnaround(), m.fireFn)
 }
 
 // fire puts the head fragment on the air (a committed transmission) and
@@ -438,7 +452,7 @@ func (m *Mac) fire() {
 		// carrier-sense backoff path. Without this, two senders whose
 		// pumps drift within one turnaround of each other would collide
 		// every fragment forever.
-		m.env.After(0, m.attempt)
+		m.env.After(0, m.attemptFn)
 		return
 	}
 	cur := m.queue[0]
@@ -447,7 +461,7 @@ func (m *Mac) fire() {
 	cur.next++
 	cur.attempts = 0
 	if cur.next == len(cur.frags) {
-		m.queue = m.queue[1:]
+		m.popHead()
 		m.Stats.MessagesSent++
 		if cur.traced && m.spans != nil {
 			sp := cur.span
@@ -456,7 +470,7 @@ func (m *Mac) fire() {
 			m.spans.Record(sp)
 		}
 	}
-	m.env.After(air+m.params.InterFragGap, m.attempt)
+	m.env.After(air+m.params.InterFragGap, m.attemptFn)
 }
 
 // onFrame handles a frame from the radio.
@@ -508,7 +522,11 @@ func (m *Mac) onFrame(from uint32, frame []byte) {
 	}
 	p.expires.Cancel()
 	delete(m.reasm, key)
-	var payload []byte
+	size := 0
+	for _, f := range p.frags {
+		size += len(f)
+	}
+	payload := make([]byte, 0, size)
 	for _, f := range p.frags {
 		payload = append(payload, f...)
 	}

@@ -118,6 +118,11 @@ type Channel struct {
 	// receivers a transmission must be scheduled at. Precomputing it makes
 	// Transmit O(neighbors) instead of O(nodes).
 	out map[uint32][]outLink
+	// free holds finished reception records for reuse. It is shared by
+	// every node, which is safe because the executor runs one event at a
+	// time; a record belongs to exactly one receiver from Transmit until
+	// its endReception.
+	free []*reception
 }
 
 // ChannelStats aggregates medium-wide counters.
@@ -388,10 +393,43 @@ func (t *Transceiver) Busy() bool {
 // Transmitting reports whether this node's own transmitter is active.
 func (t *Transceiver) Transmitting() bool { return t.port.Now() < t.txUntil }
 
-// reception tracks one incoming frame at one receiver.
+// reception tracks one frame's arrival at one receiver, from the sender's
+// Transmit to the end of its airtime at the receiver. Records are recycled
+// through the Channel's free list, and begin/end are bound once per record,
+// so a reception schedules its two events without allocating closures.
 type reception struct {
+	rx       *Transceiver
+	from     uint32
+	link     *link
+	data     []byte
+	air      time.Duration
 	collided bool
 	effDist  float64
+	// begin and end are rx.beginReception and rx.endReception bound to
+	// this record.
+	begin, end func()
+}
+
+// newReception returns a cleared record from the free list, or a new one.
+func (c *Channel) newReception() *reception {
+	if n := len(c.free); n > 0 {
+		r := c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+		return r
+	}
+	r := &reception{}
+	r.begin = func() { r.rx.beginReception(r) }
+	r.end = func() { r.rx.endReception(r) }
+	return r
+}
+
+// release returns r to the free list, dropping its references so a pooled
+// record pins no payload or receiver.
+func (c *Channel) release(r *reception) {
+	r.rx, r.link, r.data = nil, nil, nil
+	r.collided = false
+	c.free = append(c.free, r)
 }
 
 // Transmit broadcasts payload on the medium. It returns the airtime. The
@@ -429,22 +467,20 @@ func (t *Transceiver) Transmit(payload []byte) time.Duration {
 			t.chStats.FramesBlackout++
 			continue
 		}
-		t.port.ScheduleRemote(ol.to, c.params.PropDelay, func() {
-			rx.beginReception(t.id, l, data, air)
-		})
+		r := c.newReception()
+		r.rx, r.from, r.link, r.data, r.air, r.effDist = rx, t.id, l, data, air, l.effDist
+		t.port.ScheduleRemote(ol.to, c.params.PropDelay, r.begin)
 	}
 	return air
 }
 
 // beginReception starts one frame's arrival at this receiver (receiver
 // context).
-func (t *Transceiver) beginReception(from uint32, l *link, data []byte, air time.Duration) {
-	c := t.ch
-	rec := &reception{effDist: l.effDist}
+func (t *Transceiver) beginReception(rec *reception) {
 	// Overlap resolution: without capture both frames corrupt; with
 	// capture, a clearly stronger (closer) frame survives the overlap.
+	ratio := t.ch.params.CaptureRatio
 	for _, other := range t.ongoing {
-		ratio := c.params.CaptureRatio
 		switch {
 		case ratio > 0 && rec.effDist <= ratio*other.effDist:
 			other.collided = true
@@ -456,44 +492,55 @@ func (t *Transceiver) beginReception(from uint32, l *link, data []byte, air time
 		}
 	}
 	t.rxCount++
-	t.Stats.RxTime += air
+	t.Stats.RxTime += rec.air
 	t.ongoing = append(t.ongoing, rec)
+	t.port.After(rec.air, rec.end)
+}
 
-	t.port.After(air, func() {
-		t.rxCount--
-		t.removeOngoing(rec)
-		now := t.port.Now()
-		// Half-duplex: if we transmitted during any part of the reception
-		// window, the frame is missed.
-		if t.txOverlapped(now - air) {
-			t.chStats.FramesHalfDuplex++
-			return
-		}
-		if rec.collided {
-			t.chStats.FramesCollided++
-			return
-		}
-		loss := c.lossProb(l.effDist)
-		if c.linkBad(l, now) {
-			loss = loss + (1-loss)*c.params.BadLoss
-		}
-		if l.rng.Float64() < loss {
-			t.chStats.FramesLost++
-			return
-		}
-		t.Stats.FramesReceived++
-		t.Stats.BytesReceived += len(data)
-		t.chStats.FramesDelivered++
-		if t.handler != nil {
-			t.handler(from, data)
-		}
-	})
+// endReception resolves a frame whose airtime has elapsed at this receiver
+// (receiver context). The record is released before the handler runs, so
+// a handler that transmits can reuse it.
+func (t *Transceiver) endReception(rec *reception) {
+	c := t.ch
+	t.rxCount--
+	t.removeOngoing(rec)
+	from, l, data := rec.from, rec.link, rec.data
+	collided, air := rec.collided, rec.air
+	c.release(rec)
+	now := t.port.Now()
+	// Half-duplex: if we transmitted during any part of the reception
+	// window, the frame is missed.
+	if t.txOverlapped(now - air) {
+		t.chStats.FramesHalfDuplex++
+		return
+	}
+	if collided {
+		t.chStats.FramesCollided++
+		return
+	}
+	loss := c.lossProb(l.effDist)
+	if c.linkBad(l, now) {
+		loss = loss + (1-loss)*c.params.BadLoss
+	}
+	if l.rng.Float64() < loss {
+		t.chStats.FramesLost++
+		return
+	}
+	t.Stats.FramesReceived++
+	t.Stats.BytesReceived += len(data)
+	t.chStats.FramesDelivered++
+	if t.handler != nil {
+		t.handler(from, data)
+	}
 }
 
 func (t *Transceiver) removeOngoing(rec *reception) {
 	for i, r := range t.ongoing {
 		if r == rec {
-			t.ongoing = append(t.ongoing[:i], t.ongoing[i+1:]...)
+			n := len(t.ongoing) - 1
+			copy(t.ongoing[i:], t.ongoing[i+1:])
+			t.ongoing[n] = nil
+			t.ongoing = t.ongoing[:n]
 			return
 		}
 	}

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // Event-class tags of the canonical order. Every event in a run is totally
 // ordered by its evKey, so execution order is a pure function of the seed
@@ -50,32 +47,42 @@ type event struct {
 	tx bool
 }
 
-// Cancel implements Timer.
+// Cancel implements Timer. It reports false once the event has been
+// popped to run: the callback is no longer pending.
 func (e *event) Cancel() bool {
-	if e.cancelled {
+	if e.cancelled || e.h == nil {
 		return false
 	}
 	e.cancelled = true
 	e.fn = nil
-	if e.h != nil {
-		e.h.onCancel()
-	}
+	e.h.onCancel()
 	return true
 }
 
-// eventHeap is a min-heap of events in canonical order with O(1) live
-// accounting. Cancelled events are removed lazily: on pop when they reach
-// the head, or in a bulk compaction once they outnumber the live entries —
-// so a workload that arms and cancels many timers (reassembly timeouts,
+// eventHeap is a 4-ary min-heap of events in canonical order with O(1)
+// live accounting. It is typed on *event, so ordering compares evKeys
+// directly instead of through heap.Interface, and it keeps every queued
+// event's index equal to its slot. Keys are unique and totally ordered, so
+// the pop order does not depend on the heap's shape.
+//
+// Cancelled events are removed lazily: on pop when they reach the head, or
+// in a bulk compaction once they outnumber the live entries — so a
+// workload that arms and cancels many timers (reassembly timeouts,
 // gradient expiries) cannot grow the heap without bound.
 type eventHeap struct {
-	s    evSlice
+	s    []*event
 	live int
 }
 
+// heapArity is the heap's fan-out: four children per slot halve the depth
+// of a binary heap, and the four keys compared per level sit together.
+const heapArity = 4
+
 func (h *eventHeap) push(ev *event) {
 	ev.h = h
-	heap.Push(&h.s, ev)
+	ev.index = len(h.s)
+	h.s = append(h.s, ev)
+	h.up(ev.index)
 	h.live++
 }
 
@@ -105,9 +112,68 @@ func (h *eventHeap) popNext() *event {
 
 // drop removes the head event without live accounting.
 func (h *eventHeap) drop() {
-	ev := heap.Pop(&h.s).(*event)
+	ev := h.s[0]
+	n := len(h.s) - 1
+	last := h.s[n]
+	h.s[n] = nil
+	h.s = h.s[:n]
+	if n > 0 {
+		h.s[0] = last
+		h.down(0)
+	}
 	ev.h = nil
 	ev.index = -1
+}
+
+// up moves the event at slot i toward the root until its parent is
+// earlier.
+func (h *eventHeap) up(i int) {
+	s := h.s
+	ev := s[i]
+	for i > 0 {
+		p := (i - 1) / heapArity
+		parent := s[p]
+		if !ev.key.less(parent.key) {
+			break
+		}
+		s[i] = parent
+		parent.index = i
+		i = p
+	}
+	s[i] = ev
+	ev.index = i
+}
+
+// down moves the event at slot i toward the leaves until no child is
+// earlier.
+func (h *eventHeap) down(i int) {
+	s := h.s
+	n := len(s)
+	ev := s[i]
+	for {
+		first := heapArity*i + 1
+		if first >= n {
+			break
+		}
+		end := first + heapArity
+		if end > n {
+			end = n
+		}
+		min := first
+		for c := first + 1; c < end; c++ {
+			if s[c].key.less(s[min].key) {
+				min = c
+			}
+		}
+		if !s[min].key.less(ev.key) {
+			break
+		}
+		s[i] = s[min]
+		s[i].index = i
+		i = min
+	}
+	s[i] = ev
+	ev.index = i
 }
 
 // onCancel is called by event.Cancel while the event is still queued; it
@@ -119,7 +185,7 @@ func (h *eventHeap) onCancel() {
 	}
 }
 
-// compact removes every cancelled entry and re-heapifies.
+// compact removes every cancelled entry and rebuilds the heap in place.
 func (h *eventHeap) compact() {
 	kept := h.s[:0]
 	for _, ev := range h.s {
@@ -128,36 +194,16 @@ func (h *eventHeap) compact() {
 			ev.index = -1
 			continue
 		}
+		ev.index = len(kept)
 		kept = append(kept, ev)
 	}
 	for i := len(kept); i < len(h.s); i++ {
 		h.s[i] = nil
 	}
 	h.s = kept
-	heap.Init(&h.s)
-}
-
-// evSlice implements heap.Interface; eventHeap wraps it with live/lazy
-// accounting.
-type evSlice []*event
-
-func (h evSlice) Len() int           { return len(h) }
-func (h evSlice) Less(i, j int) bool { return h[i].key.less(h[j].key) }
-func (h evSlice) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *evSlice) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *evSlice) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	if n := len(kept); n > 1 {
+		for i := (n - 2) / heapArity; i >= 0; i-- {
+			h.down(i)
+		}
+	}
 }

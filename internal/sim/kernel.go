@@ -40,6 +40,11 @@ type Kernel struct {
 	q     eventHeap
 	gseq  uint64
 	nodes map[uint32]*nodePort
+	// free holds executed ScheduleRemote events for reuse. Only those are
+	// recycled: ScheduleRemote returns no Timer, so no handle can reach a
+	// record after it ran, whereas a recycled After/AfterTx event could be
+	// cancelled through a stale Timer its caller still holds.
+	free []*event
 	// inTx is true while executing a transmission-commit event — the only
 	// context allowed to ScheduleRemote.
 	inTx bool
@@ -139,7 +144,7 @@ func (k *Kernel) After(d time.Duration, fn func()) Timer {
 // Every schedules fn at now+d and then every period thereafter until the
 // returned Timer is cancelled. Panics when period is not positive.
 func (k *Kernel) Every(d, period time.Duration, fn func()) Timer {
-	return repeatOn(k, d, period, fn)
+	return Every(k, d, period, fn)
 }
 
 // Stop halts the event loop after the executing event.
@@ -180,6 +185,10 @@ func (k *Kernel) run(t time.Duration) {
 		k.inTx = ev.tx
 		ev.fn()
 		k.inTx = false
+		if ev.key.kind == kindRemote { // see Kernel.free
+			ev.fn = nil
+			k.free = append(k.free, ev)
+		}
 	}
 }
 
@@ -241,8 +250,16 @@ func (p *nodePort) ScheduleRemote(to uint32, d time.Duration, fn func()) {
 		panic(fmt.Sprintf("sim: ScheduleRemote to unregistered node %d", to))
 	}
 	p.rseq++
-	p.k.q.push(&event{
-		key: evKey{at: p.k.now + d, kind: kindRemote, a: uint64(p.id), b: p.rseq},
-		fn:  fn,
-	})
+	k := p.k
+	var ev *event
+	if n := len(k.free); n > 0 {
+		ev = k.free[n-1]
+		k.free[n-1] = nil
+		k.free = k.free[:n-1]
+	} else {
+		ev = &event{}
+	}
+	ev.key = evKey{at: k.now + d, kind: kindRemote, a: uint64(p.id), b: p.rseq}
+	ev.fn = fn
+	k.q.push(ev)
 }

@@ -175,34 +175,42 @@ func (p schedPort) ScheduleRemote(to uint32, d time.Duration, fn func()) {
 // period is not positive: re-arming at the same timestamp would livelock
 // the event loop.
 func (s *Scheduler) Every(d, period time.Duration, fn func()) Timer {
-	return repeatOn(s, d, period, fn)
+	return Every(s, d, period, fn)
 }
 
-// repeatOn implements Every over any Clock, validating the period.
-func repeatOn(c Clock, d, period time.Duration, fn func()) Timer {
+// Every schedules fn on c at now+d and then every period thereafter until
+// the returned Timer is cancelled; the executors' Every methods and the
+// diffusion core's housekeeping share it. It panics when period is not
+// positive: re-arming at the same timestamp would livelock the event loop.
+func Every(c Clock, d, period time.Duration, fn func()) Timer {
 	if period <= 0 {
 		panic("sim: Every requires a positive period")
 	}
-	rt := &repeatTimer{}
-	var arm func(delay time.Duration)
-	arm = func(delay time.Duration) {
-		rt.inner = c.After(delay, func() {
-			if rt.cancelled {
-				return
-			}
-			fn()
-			if !rt.cancelled {
-				arm(period)
-			}
-		})
-	}
-	arm(d)
-	return rt
+	r := &repeatTimer{c: c, period: period, fn: fn}
+	r.tick = r.fire
+	r.inner = c.After(d, r.tick)
+	return r
 }
 
+// repeatTimer re-arms one bound tick per period, so a periodic timer
+// allocates nothing beyond the clock's own event per firing.
 type repeatTimer struct {
+	c         Clock
+	period    time.Duration
+	fn        func()
+	tick      func()
 	inner     Timer
 	cancelled bool
+}
+
+func (r *repeatTimer) fire() {
+	if r.cancelled {
+		return
+	}
+	r.fn()
+	if !r.cancelled {
+		r.inner = r.c.After(r.period, r.tick)
+	}
 }
 
 func (r *repeatTimer) Cancel() bool {
@@ -211,9 +219,10 @@ func (r *repeatTimer) Cancel() bool {
 	}
 	r.cancelled = true
 	if r.inner != nil {
-		return r.inner.Cancel()
+		r.inner.Cancel()
 	}
-	return false
+	// Until now a firing was pending, or the running one would re-arm.
+	return true
 }
 
 // Step executes the next pending event. It reports false when no events
