@@ -92,9 +92,7 @@ func NewFeedback(cfg FeedbackConfig) *Feedback {
 // Close stops reporting.
 func (f *Feedback) Close() {
 	f.closed = true
-	if f.timer != nil {
-		f.timer.Cancel()
-	}
+	f.timer.Cancel()
 	_ = f.node.Unpublish(f.pub)
 }
 

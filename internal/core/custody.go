@@ -405,9 +405,7 @@ func (n *Node) NeighborRecovered(peer uint32) {
 		if s.passive || s.local {
 			continue
 		}
-		if s.refresh != nil {
-			s.refresh.Cancel()
-		}
+		s.refresh.Cancel()
 		n.armRefresh(s)
 	}
 	n.ReplayCustody()

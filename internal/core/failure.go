@@ -83,9 +83,7 @@ func (n *Node) NeighborDead(peer uint32) {
 		if s.passive || s.local {
 			continue
 		}
-		if s.refresh != nil {
-			s.refresh.Cancel()
-		}
+		s.refresh.Cancel()
 		n.armRefresh(s)
 	}
 }

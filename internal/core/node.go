@@ -320,9 +320,7 @@ func (n *Node) ID() uint32 { return n.cfg.Link.ID() }
 func (n *Node) Close() {
 	n.housekeep.Cancel()
 	for _, s := range n.subs {
-		if s.refresh != nil {
-			s.refresh.Cancel()
-		}
+		s.refresh.Cancel()
 	}
 }
 
@@ -338,10 +336,7 @@ func (n *Node) Detach() {
 	n.detached = true
 	n.housekeep.Cancel()
 	for _, s := range n.subs {
-		if s.refresh != nil {
-			s.refresh.Cancel()
-			s.refresh = nil
-		}
+		s.refresh.Cancel()
 	}
 }
 
@@ -514,9 +509,7 @@ func (n *Node) Unsubscribe(h SubscriptionHandle) error {
 	if !ok {
 		return fmt.Errorf("%w: subscription %d", ErrUnknownHandle, h)
 	}
-	if s.refresh != nil {
-		s.refresh.Cancel()
-	}
+	s.refresh.Cancel()
 	delete(n.subs, h)
 	n.midx.subs.Remove(s.slot)
 	if list := n.subsByHash[s.ihash]; len(list) <= 1 {

@@ -119,9 +119,7 @@ func (e *Election) onClaim(m *message.Message) {
 	}
 	if e.peerBetter() {
 		// Stand down: a better peer claimed first.
-		if e.claim != nil {
-			e.claim.Cancel()
-		}
+		e.claim.Cancel()
 		return
 	}
 	// We are better than the claimant: dispute immediately (the paper's

@@ -358,3 +358,44 @@ func TestRestartResumesService(t *testing.T) {
 		t.Errorf("Send after Restart: %v", err)
 	}
 }
+
+// TestRecycledPartialOutlivesEarlierTimeout checks that a finished train's
+// reassembly timeout cannot expire a later train that reuses its recycled
+// record: train A completes, train B with the same (source, sequence) key
+// takes over A's record, and B's last fragment arrives after A's deadline
+// but before B's own.
+func TestRecycledPartialOutlivesEarlierTimeout(t *testing.T) {
+	s, m1, m2, _, l2 := twoNodes(5, radio.PerfectParams())
+	payloadA := bytes.Repeat([]byte{'a'}, 40)
+	payloadB := bytes.Repeat([]byte{'b'}, 40)
+	trainA := m1.fragment(Broadcast, 7, payloadA)
+	trainB := m1.fragment(Broadcast, 7, payloadB)
+	if len(trainA) != 2 || len(trainB) != 2 {
+		t.Fatalf("trains of %d and %d fragments, want 2 each", len(trainA), len(trainB))
+	}
+	deliver := func(at time.Duration, frame []byte) {
+		s.After(at-s.Now(), func() { m2.onFrame(1, frame) })
+	}
+	timeout := m2.params.ReassemblyTimeout
+	deliver(0, trainA[0])
+	deliver(time.Millisecond, trainA[1])
+	deliver(2*time.Millisecond, trainB[0])
+	deliver(timeout+time.Millisecond, trainB[1])
+
+	s.RunUntil(1500 * time.Microsecond)
+	if len(m2.freeParts) != 1 {
+		t.Fatalf("%d free reassembly records after train A, want 1", len(m2.freeParts))
+	}
+	recycled := m2.freeParts[0]
+	s.RunUntil(2500 * time.Microsecond)
+	if p := m2.reasm[reasmKey{src: 1, seq: 7}]; p != recycled {
+		t.Fatal("train B did not reuse train A's reassembly record")
+	}
+	s.RunUntil(3 * timeout)
+	if m2.Stats.ReassemblyExpired != 0 {
+		t.Errorf("%d reassembly expirations, want 0", m2.Stats.ReassemblyExpired)
+	}
+	if len(l2.payloads) != 2 || !bytes.Equal(l2.payloads[0], payloadA) || !bytes.Equal(l2.payloads[1], payloadB) {
+		t.Errorf("delivered %q, want train A then train B", l2.payloads)
+	}
+}

@@ -292,9 +292,7 @@ func Fetch(cfg ReceiverConfig) *Receiver {
 // Close stops the receiver (it fires neither callback afterwards).
 func (r *Receiver) Close() {
 	r.complete = true
-	if r.timer != nil {
-		r.timer.Cancel()
-	}
+	r.timer.Cancel()
 	_ = r.cfg.Node.Unsubscribe(r.sub)
 	_ = r.cfg.Node.Unpublish(r.nackPub)
 }
@@ -304,9 +302,7 @@ func (r *Receiver) Close() {
 func (r *Receiver) Progress() (int, int) { return r.have, r.total }
 
 func (r *Receiver) arm() {
-	if r.timer != nil {
-		r.timer.Cancel()
-	}
+	r.timer.Cancel()
 	r.timer = r.cfg.Clock.After(r.cfg.NackDelay, r.quiet)
 }
 
@@ -347,9 +343,7 @@ func (r *Receiver) onChunk(m *message.Message) {
 
 func (r *Receiver) finish() {
 	r.complete = true
-	if r.timer != nil {
-		r.timer.Cancel()
-	}
+	r.timer.Cancel()
 	var data []byte
 	for _, c := range r.chunks {
 		data = append(data, c...)

@@ -9,11 +9,11 @@ import (
 
 // heapEngine adapts one executor to the heap property test: schedule
 // queues one event through the executor's public API and returns it (and
-// whether the caller got a Timer for it), so the test can follow each
-// event through the executor's own heap.
+// the Timer the caller got for it, zero for remote events), so the test
+// can follow each event through the executor's own heap.
 type heapEngine struct {
 	q        *eventHeap
-	schedule func(r *rand.Rand) (ev *event, cancellable bool)
+	schedule func(r *rand.Rand) (ev *event, tm Timer)
 	pending  func() int
 	next     func() (time.Duration, bool)
 }
@@ -26,15 +26,16 @@ func kernelHeapEngine() heapEngine {
 	k := newTestKernel(1, 4)
 	return heapEngine{
 		q: &k.q,
-		schedule: func(r *rand.Rand) (*event, bool) {
+		schedule: func(r *rand.Rand) (*event, Timer) {
 			id := uint32(1 + r.Intn(4))
+			var tm Timer
 			switch r.Intn(4) {
 			case 0:
-				return k.After(delay(r), func() {}).(*event), true
+				tm = k.After(delay(r), func() {})
 			case 1:
-				return k.Port(id).After(delay(r), func() {}).(*event), true
+				tm = k.Port(id).After(delay(r), func() {})
 			case 2:
-				return k.Port(id).AfterTx(delay(r), func() {}).(*event), true
+				tm = k.Port(id).AfterTx(delay(r), func() {})
 			default:
 				p := k.nodes[id]
 				d := k.prop + delay(r)
@@ -44,11 +45,12 @@ func kernelHeapEngine() heapEngine {
 				want := evKey{at: k.now + d, kind: kindRemote, a: uint64(id), b: p.rseq}
 				for _, ev := range k.q.s {
 					if ev.key == want {
-						return ev, false
+						return ev, Timer{}
 					}
 				}
 				panic("remote event not queued")
 			}
+			return tm.ev, tm
 		},
 		pending: k.Pending,
 		next:    k.NextEventAt,
@@ -59,11 +61,14 @@ func schedulerHeapEngine() heapEngine {
 	s := New(1)
 	return heapEngine{
 		q: &s.events,
-		schedule: func(r *rand.Rand) (*event, bool) {
+		schedule: func(r *rand.Rand) (*event, Timer) {
+			var tm Timer
 			if r.Intn(2) == 0 {
-				return s.After(delay(r), func() {}).(*event), true
+				tm = s.After(delay(r), func() {})
+			} else {
+				tm = s.Port(1).AfterTx(delay(r), func() {})
 			}
-			return s.Port(1).AfterTx(delay(r), func() {}).(*event), true
+			return tm.ev, tm
 		},
 		pending: s.Pending,
 		next:    s.NextEventAt,
@@ -89,9 +94,13 @@ func TestEventHeapProperty(t *testing.T) {
 func checkHeapProperty(t *testing.T, name string, seed int64, e heapEngine) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
-	var ref []*event         // live events in key order
-	var cancellable []*event // live events the caller holds a Timer for
-	var done []*event        // popped or cancelled events with a Timer
+	type held struct {
+		ev *event
+		tm Timer
+	}
+	var ref []*event       // live events in key order
+	var cancellable []held // live events the caller holds a Timer for
+	var done []Timer       // Timers of popped or cancelled events
 	compactions := 0
 	remove := func(s []*event, ev *event) []*event {
 		for i, x := range s {
@@ -111,26 +120,27 @@ func checkHeapProperty(t *testing.T, name string, seed int64, e heapEngine) {
 		}
 		switch op := r.Intn(100); {
 		case op < pushP:
-			ev, c := e.schedule(r)
+			ev, tm := e.schedule(r)
 			i := sort.Search(len(ref), func(i int) bool { return ev.key.less(ref[i].key) })
 			ref = append(ref, nil)
 			copy(ref[i+1:], ref[i:])
 			ref[i] = ev
-			if c {
-				cancellable = append(cancellable, ev)
+			if tm != (Timer{}) {
+				cancellable = append(cancellable, held{ev, tm})
 			}
 		case op < pushP+cancelP && len(cancellable) > 0:
-			ev := cancellable[r.Intn(len(cancellable))]
+			j := r.Intn(len(cancellable))
+			c := cancellable[j]
 			before := len(e.q.s)
-			if !ev.Cancel() {
+			if !c.tm.Cancel() {
 				t.Fatalf("%s seed %d step %d: Cancel of a queued event returned false", name, seed, step)
 			}
 			if len(e.q.s) < before-1 {
 				compactions++
 			}
-			cancellable = remove(cancellable, ev)
-			ref = remove(ref, ev)
-			done = append(done, ev)
+			cancellable = append(cancellable[:j], cancellable[j+1:]...)
+			ref = remove(ref, c.ev)
+			done = append(done, c.tm)
 		case op < pushP+cancelP && len(done) > 0:
 			if done[r.Intn(len(done))].Cancel() {
 				t.Fatalf("%s seed %d step %d: Cancel of a popped or cancelled event returned true", name, seed, step)
@@ -148,12 +158,13 @@ func checkHeapProperty(t *testing.T, name string, seed int64, e heapEngine) {
 			}
 			ref = ref[1:]
 			for i, x := range cancellable {
-				if x == ev {
+				if x.ev == ev {
 					cancellable = append(cancellable[:i], cancellable[i+1:]...)
-					done = append(done, ev)
+					done = append(done, x.tm)
 					break
 				}
 			}
+			e.q.release(ev)
 		}
 		checkHeapState(t, name, seed, step, e, ref)
 	}

@@ -40,11 +40,6 @@ type Kernel struct {
 	q     eventHeap
 	gseq  uint64
 	nodes map[uint32]*nodePort
-	// free holds executed ScheduleRemote events for reuse. Only those are
-	// recycled: ScheduleRemote returns no Timer, so no handle can reach a
-	// record after it ran, whereas a recycled After/AfterTx event could be
-	// cancelled through a stale Timer its caller still holds.
-	free []*event
 	// inTx is true while executing a transmission-commit event — the only
 	// context allowed to ScheduleRemote.
 	inTx bool
@@ -136,9 +131,7 @@ func (k *Kernel) After(d time.Duration, fn func()) Timer {
 		d = 0
 	}
 	k.gseq++
-	ev := &event{key: evKey{at: k.now + d, kind: kindGlobal, b: k.gseq}, fn: fn}
-	k.q.push(ev)
-	return ev
+	return timerOf(k.q.schedule(evKey{at: k.now + d, kind: kindGlobal, b: k.gseq}, fn, false))
 }
 
 // Every schedules fn at now+d and then every period thereafter until the
@@ -182,13 +175,11 @@ func (k *Kernel) run(t time.Duration) {
 		}
 		k.q.popNext()
 		k.now = ev.key.at
+		fn := ev.fn
 		k.inTx = ev.tx
-		ev.fn()
+		k.q.release(ev)
+		fn()
 		k.inTx = false
-		if ev.key.kind == kindRemote { // see Kernel.free
-			ev.fn = nil
-			k.free = append(k.free, ev)
-		}
 	}
 }
 
@@ -225,15 +216,9 @@ func (p *nodePort) AfterTx(d time.Duration, fn func()) Timer {
 	return p.push(p.k.now+d, fn, true)
 }
 
-func (p *nodePort) push(at time.Duration, fn func(), tx bool) *event {
+func (p *nodePort) push(at time.Duration, fn func(), tx bool) Timer {
 	p.seq++
-	ev := &event{
-		key: evKey{at: at, kind: kindLocal, a: uint64(p.id), b: p.seq},
-		fn:  fn,
-		tx:  tx,
-	}
-	p.k.q.push(ev)
-	return ev
+	return timerOf(p.k.q.schedule(evKey{at: at, kind: kindLocal, a: uint64(p.id), b: p.seq}, fn, tx))
 }
 
 // ScheduleRemote schedules fn in node to's context, d from now. Only legal
@@ -250,16 +235,5 @@ func (p *nodePort) ScheduleRemote(to uint32, d time.Duration, fn func()) {
 		panic(fmt.Sprintf("sim: ScheduleRemote to unregistered node %d", to))
 	}
 	p.rseq++
-	k := p.k
-	var ev *event
-	if n := len(k.free); n > 0 {
-		ev = k.free[n-1]
-		k.free[n-1] = nil
-		k.free = k.free[:n-1]
-	} else {
-		ev = &event{}
-	}
-	ev.key = evKey{at: k.now + d, kind: kindRemote, a: uint64(p.id), b: p.rseq}
-	ev.fn = fn
-	k.q.push(ev)
+	p.k.q.schedule(evKey{at: p.k.now + d, kind: kindRemote, a: uint64(p.id), b: p.rseq}, fn, false)
 }

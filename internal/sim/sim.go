@@ -33,11 +33,46 @@ type Clock interface {
 	After(d time.Duration, fn func()) Timer
 }
 
-// Timer is a cancellable pending callback.
-type Timer interface {
-	// Cancel stops the timer; it reports whether the callback was still
-	// pending (and is now guaranteed not to run).
+// Timer is the handle to a pending callback. It is a small comparable
+// value: for a kernel event, the event record plus the generation the
+// record had when the callback was armed. The engines recycle every event
+// record once it leaves their queue, and recycling bumps the generation,
+// so a Timer kept after its callback ran or was cancelled cancels nothing,
+// least of all the record's next occupant. Timers implemented outside the
+// engines (wall-clock timers, periodic timers) wrap themselves with
+// TimerOf. The zero Timer is valid: it holds nothing and Cancel reports
+// false.
+type Timer struct {
+	ev  *event
+	gen uint64
+	ext Canceler
+}
+
+// Canceler is a cancellable callback implemented outside the event
+// engines; TimerOf wraps one in a Timer.
+type Canceler interface {
+	// Cancel stops the callback; it reports whether it was still pending
+	// (and is now guaranteed not to run).
 	Cancel() bool
+}
+
+// TimerOf wraps c in a Timer. A pointer-shaped c is stored without
+// allocating.
+func TimerOf(c Canceler) Timer { return Timer{ext: c} }
+
+// timerOf returns the handle for ev as armed now.
+func timerOf(ev *event) Timer { return Timer{ev: ev, gen: ev.gen} }
+
+// Cancel stops the timer; it reports whether the callback was still
+// pending (and is now guaranteed not to run).
+func (t Timer) Cancel() bool {
+	switch {
+	case t.ev != nil:
+		return t.ev.cancel(t.gen)
+	case t.ext != nil:
+		return t.ext.Cancel()
+	}
+	return false
 }
 
 // Env is the scheduling surface one node's protocol stack runs against: a
@@ -145,11 +180,9 @@ func (s *Scheduler) AfterTx(d time.Duration, fn func()) Timer {
 	return s.After(d, fn)
 }
 
-func (s *Scheduler) at(t time.Duration, fn func()) *event {
+func (s *Scheduler) at(t time.Duration, fn func()) Timer {
 	s.seq++
-	ev := &event{key: evKey{at: t, kind: kindGlobal, b: s.seq}, fn: fn}
-	s.events.push(ev)
-	return ev
+	return timerOf(s.events.schedule(evKey{at: t, kind: kindGlobal, b: s.seq}, fn, false))
 }
 
 // Port returns a scheduling handle for node id. On the single-queue
@@ -189,7 +222,7 @@ func Every(c Clock, d, period time.Duration, fn func()) Timer {
 	r := &repeatTimer{c: c, period: period, fn: fn}
 	r.tick = r.fire
 	r.inner = c.After(d, r.tick)
-	return r
+	return TimerOf(r)
 }
 
 // repeatTimer re-arms one bound tick per period, so a periodic timer
@@ -218,9 +251,7 @@ func (r *repeatTimer) Cancel() bool {
 		return false
 	}
 	r.cancelled = true
-	if r.inner != nil {
-		r.inner.Cancel()
-	}
+	r.inner.Cancel()
 	// Until now a firing was pending, or the running one would re-arm.
 	return true
 }
@@ -238,7 +269,9 @@ func (s *Scheduler) Step() bool {
 	if ev.key.at > s.now {
 		s.now = ev.key.at
 	}
-	ev.fn()
+	fn := ev.fn
+	s.events.release(ev)
+	fn()
 	return true
 }
 
@@ -303,9 +336,10 @@ func (c *RealClock) Now() time.Duration {
 
 // After schedules fn on a goroutine timer.
 func (c *RealClock) After(d time.Duration, fn func()) Timer {
-	return &realTimer{t: time.AfterFunc(d, fn)}
+	return TimerOf((*realTimer)(time.AfterFunc(d, fn)))
 }
 
-type realTimer struct{ t *time.Timer }
+// realTimer is a time.Timer with the Canceler method set.
+type realTimer time.Timer
 
-func (r *realTimer) Cancel() bool { return r.t.Stop() }
+func (r *realTimer) Cancel() bool { return (*time.Timer)(r).Stop() }
